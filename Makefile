@@ -11,7 +11,7 @@ GO ?= go
 # sub-ms benchmarks are otherwise pure scheduler noise and back-to-back
 # identical runs trip the 10% gate.
 BENCH_JSON    ?= BENCH_pr10.json
-BENCH_PATTERN ?= ^(BenchmarkFig|BenchmarkTable|BenchmarkGateway|BenchmarkUDP|BenchmarkCache)
+BENCH_PATTERN ?= ^(BenchmarkFig|BenchmarkTable|BenchmarkGateway|BenchmarkUDP|BenchmarkCache|BenchmarkEngineRequest|BenchmarkGILSimulate|BenchmarkProfileWorkflow|BenchmarkPGPPlan)
 BENCH_TIME    ?= 20x
 BENCH_COUNT   ?= 5
 # The hedging rail drives 200 wall-clock requests per iteration (nominal
@@ -79,11 +79,13 @@ soak:
 udp-soak: chirond soak
 	./scripts/udp_soak.sh
 
-# fuzz runs the UDP packet-parser fuzzer for a fixed iteration budget
-# (the same budget CI runs); FUZZ_TIME accepts Nx or a duration.
+# fuzz runs the UDP packet-parser fuzzer and the jitter-stream
+# equivalence fuzzer (sim.Rand against math/rand) for a fixed iteration
+# budget each (the same budget CI runs); FUZZ_TIME accepts Nx or a duration.
 FUZZ_TIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=$(FUZZ_TIME) ./internal/udp/
+	$(GO) test -run='^$$' -fuzz=FuzzRandMatchesMathRand -fuzztime=$(FUZZ_TIME) ./internal/sim/
 
 # tables regenerates every figure/table into results/.
 tables:

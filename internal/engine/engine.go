@@ -13,7 +13,7 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
+	"sync"
 	"time"
 
 	"chiron/internal/dag"
@@ -23,6 +23,7 @@ import (
 	"chiron/internal/obs"
 	"chiron/internal/parallel"
 	"chiron/internal/proc"
+	"chiron/internal/sim"
 	"chiron/internal/wrap"
 )
 
@@ -153,15 +154,23 @@ func Run(w *dag.Workflow, plan *wrap.Plan, env Env) (*Result, error) {
 	if err := plan.Validate(w); err != nil {
 		return nil, err
 	}
-	r := &runner{w: w, plan: plan, env: env, rng: rand.New(rand.NewSource(env.Seed))}
-	return r.run()
+	rng := rngPool.Get().(*sim.Rand)
+	rng.Seed(env.Seed)
+	r := &runner{w: w, plan: plan, env: env, rng: rng}
+	res, err := r.run()
+	rngPool.Put(rng)
+	return res, err
 }
+
+// rngPool recycles the per-request jitter streams: a Rand carries a
+// 4.9 KB register, and RunMany fans thousands of requests out per table.
+var rngPool = sync.Pool{New: func() any { return new(sim.Rand) }}
 
 type runner struct {
 	w    *dag.Workflow
 	plan *wrap.Plan
 	env  Env
-	rng  *rand.Rand
+	rng  *sim.Rand
 
 	coldPaid map[int]bool
 }
@@ -179,7 +188,7 @@ func (r *runner) jitter(d time.Duration) time.Duration {
 }
 
 func (r *runner) run() (*Result, error) {
-	res := &Result{}
+	res := &Result{Stages: make([]StageResult, 0, len(r.w.Stages))}
 	r.coldPaid = make(map[int]bool)
 	// Per-request correlated load factor: co-located tenants, cache state
 	// and frequency scaling move a whole request's costs together, which
@@ -199,6 +208,13 @@ func (r *runner) run() (*Result, error) {
 		res.Stages = append(res.Stages, *stage)
 	}
 	res.E2E = time.Duration(float64(t) * load)
+	nfn := 0
+	for _, st := range res.Stages {
+		for _, wr := range st.Wraps {
+			nfn += len(wr.Exec.Functions)
+		}
+	}
+	res.Functions = make([]FunctionTiming, 0, nfn)
 	for si, st := range res.Stages {
 		for _, wr := range st.Wraps {
 			base := wr.InvokedAt
@@ -232,7 +248,7 @@ func (r *runner) runStage(i int, t0 time.Duration) (*StageResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &StageResult{Start: t0}
+	st := &StageResult{Start: t0, Wraps: make([]WrapResult, 0, len(wraps))}
 	c := r.env.Const
 
 	switch r.env.Dispatch {

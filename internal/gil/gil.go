@@ -28,7 +28,6 @@
 package gil
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -295,7 +294,7 @@ func (b *byLongest) Less(i, j int) bool {
 type Sim struct {
 	opt      Options
 	k        *sim.Kernel
-	rng      *rand.Rand
+	rng      sim.Rand
 	ready    cfs.Queue
 	waitQ    []*thread // Dispatcher mode: admitted but no worker yet
 	waitHead int       // consumed prefix of waitQ (ring-free FIFO reuse)
@@ -315,7 +314,7 @@ type Sim struct {
 
 // NewSim returns an empty reusable simulator.
 func NewSim() *Sim {
-	return &Sim{k: sim.New(), rng: rand.New(rand.NewSource(1))}
+	return &Sim{k: sim.New()}
 }
 
 // simPool backs the package-level Simulate and hot-path callers that
@@ -364,12 +363,7 @@ func (s *Sim) Simulate(specs []*behavior.Spec, opt Options) *Result {
 	s.opt = opt
 	s.k.Reset()
 	s.ready.Reset()
-	if opt.JitterPct > 0 {
-		// Seeding the lagged-Fibonacci source is ~60x the cost of one
-		// draw, so only pay it when jitter actually consumes the stream
-		// (the Predictor always runs jitter-free).
-		s.rng.Seed(opt.Seed)
-	}
+	s.rng.Seed(opt.Seed)
 	s.free = opt.Procs
 	s.workers = opt.Workers
 	if opt.Workers <= 0 {

@@ -542,6 +542,15 @@ func TestWarmSimSimulateDoesNotAllocate(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { s.Simulate(specs, dopt) }); avg > 0 {
 		t.Fatalf("warm dispatcher Simulate allocates %.1f allocs/run, want 0", avg)
 	}
+	// Jittered runs reseed the Sim's stream on every call; that must not
+	// touch the heap either.
+	jopt := opt
+	jopt.JitterPct = 0.05
+	jopt.Seed = 42
+	s.Simulate(specs, jopt)
+	if avg := testing.AllocsPerRun(100, func() { s.Simulate(specs, jopt) }); avg > 0 {
+		t.Fatalf("warm jittered Simulate allocates %.1f allocs/run, want 0", avg)
+	}
 }
 
 func TestPooledSimulateResultIsCallerOwned(t *testing.T) {

@@ -218,7 +218,8 @@ func (c *Cache[K, V]) Len() int {
 	return n
 }
 
-// Purge empties the cache, keeping capacity; counters are unaffected.
+// Purge empties the cache and releases its storage; the capacity bound
+// and the counters are unaffected.
 // In-flight GetOrCompute loaders are untouched: they complete and insert
 // into the purged cache.
 func (c *Cache[K, V]) Purge() {

@@ -48,13 +48,15 @@ func newTwoQPolicy[K comparable, V any](capacity int) *twoQPolicy[K, V] {
 	if p.kout < 1 {
 		p.kout = 1
 	}
-	p.reset()
+	p.reset(capacity)
 	return p
 }
 
-func (p *twoQPolicy[K, V]) reset() {
-	p.m = make(map[K]*twoQEntry[K, V], p.cap)
-	p.ghosts = make(map[K]*twoQGhost[K], p.kout)
+// reset empties the policy, presizing its live map for hint entries and
+// its ghost map for at most kout.
+func (p *twoQPolicy[K, V]) reset(hint int) {
+	p.m = make(map[K]*twoQEntry[K, V], hint)
+	p.ghosts = make(map[K]*twoQGhost[K], min(hint, p.kout))
 	p.amHead.prev, p.amHead.next = &p.amHead, &p.amHead
 	p.inHead.prev, p.inHead.next = &p.inHead, &p.inHead
 	p.gHead.prev, p.gHead.next = &p.gHead, &p.gHead
@@ -157,4 +159,5 @@ func (p *twoQPolicy[K, V]) dropGhost(g *twoQGhost[K]) {
 
 func (p *twoQPolicy[K, V]) len() int { return len(p.m) }
 
-func (p *twoQPolicy[K, V]) purge() { p.reset() }
+// purge drops the storage; see lruPolicy.purge.
+func (p *twoQPolicy[K, V]) purge() { p.reset(0) }

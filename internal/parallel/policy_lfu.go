@@ -29,13 +29,14 @@ type lfuEntry[K comparable, V any] struct {
 
 func newLFUPolicy[K comparable, V any](capacity int) *lfuPolicy[K, V] {
 	p := &lfuPolicy[K, V]{cap: capacity}
-	p.reset()
+	p.reset(capacity)
 	return p
 }
 
-func (p *lfuPolicy[K, V]) reset() {
-	p.m = make(map[K]*lfuEntry[K, V], p.cap)
-	p.heap = make([]*lfuEntry[K, V], 0, p.cap)
+// reset empties the policy, presizing its storage for hint entries.
+func (p *lfuPolicy[K, V]) reset(hint int) {
+	p.m = make(map[K]*lfuEntry[K, V], hint)
+	p.heap = make([]*lfuEntry[K, V], 0, hint)
 	p.tick = 0
 }
 
@@ -130,4 +131,5 @@ func (p *lfuPolicy[K, V]) put(key K, v V) (evicted int) {
 
 func (p *lfuPolicy[K, V]) len() int { return len(p.m) }
 
-func (p *lfuPolicy[K, V]) purge() { p.reset() }
+// purge drops the storage; see lruPolicy.purge.
+func (p *lfuPolicy[K, V]) purge() { p.reset(0) }

@@ -18,12 +18,13 @@ type lruEntry[K comparable, V any] struct {
 
 func newLRUPolicy[K comparable, V any](capacity int) *lruPolicy[K, V] {
 	p := &lruPolicy[K, V]{cap: capacity}
-	p.reset()
+	p.reset(capacity)
 	return p
 }
 
-func (p *lruPolicy[K, V]) reset() {
-	p.m = make(map[K]*lruEntry[K, V], p.cap)
+// reset empties the policy, presizing its storage for hint entries.
+func (p *lruPolicy[K, V]) reset(hint int) {
+	p.m = make(map[K]*lruEntry[K, V], hint)
 	p.head.prev = &p.head
 	p.head.next = &p.head
 }
@@ -72,4 +73,6 @@ func (p *lruPolicy[K, V]) put(key K, v V) (evicted int) {
 
 func (p *lruPolicy[K, V]) len() int { return len(p.m) }
 
-func (p *lruPolicy[K, V]) purge() { p.reset() }
+// purge drops the storage instead of keeping it presized: a purged cache
+// refills at its own pace, and its old maps can be collected.
+func (p *lruPolicy[K, V]) purge() { p.reset(0) }

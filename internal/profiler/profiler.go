@@ -72,6 +72,8 @@ func (p *Profile) Spec() *behavior.Spec {
 		MemMB:       p.MemMB,
 		OutputBytes: p.OutputBytes,
 		Files:       append([]string(nil), p.Files...),
+		// At most a CPU gap before each period, the period, and a tail.
+		Segments: make([]behavior.Segment, 0, 2*len(p.Periods)+1),
 	}
 	cursor := time.Duration(0)
 	for _, per := range p.Periods {

@@ -12,12 +12,12 @@ package trace
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"time"
 
 	"chiron/internal/behavior"
+	"chiron/internal/sim"
 )
 
 // Event is one recorded syscall.
@@ -82,7 +82,8 @@ type Recording struct {
 // Record replays spec solo under tracing overhead ov, deterministically
 // for a given seed.
 func Record(spec *behavior.Spec, ov Overhead, seed int64) *Recording {
-	rng := rand.New(rand.NewSource(seed))
+	var rng sim.Rand
+	rng.Seed(seed)
 	jit := func(d time.Duration, f float64) time.Duration {
 		x := float64(d) * f
 		if ov.JitterPct > 0 {

@@ -171,6 +171,7 @@ func (p *Plan) StageWraps(w *dag.Workflow, stage int) ([]StageWrap, error) {
 			procs = append(procs, pr)
 		}
 		sort.Ints(procs)
+		sw.Procs = make([]ProcGroup, 0, len(procs))
 		for _, pr := range procs {
 			sw.Procs = append(sw.Procs, ProcGroup{Proc: pr, Functions: bySandbox[sb][pr]})
 		}
