@@ -46,21 +46,22 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson -label current -out /tmp/bench-current.json
 	$(GO) run ./cmd/benchjson -compare -threshold 0.10 $(BENCH_JSON) /tmp/bench-current.json
 
-# cache-bench runs just the cache policy rails (hit-heavy, scan-flood,
-# serve traffic mix, stampede) with the hit_rate / loads-per-op columns
-# the per-cache policy defaults were picked from (see DESIGN.md §12).
+# cache-bench runs just the cache rails: the sharded LRU's hit path
+# (with its hit_rate column) and the singleflight stampede rails (with
+# their loads-per-op columns); see DESIGN.md §12.
 cache-bench:
 	$(GO) test -run='^$$' -bench='^BenchmarkCache' -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) .
 
-# chirond builds the serving daemon; serve-smoke boots it on an
-# ephemeral port, drives 200 invocations of the SocialNetwork workload
-# against itself (closed loop, 8 workers), and exits cleanly.
+# chirond builds the serving daemon; serve-smoke black-box tests it:
+# a 200-invocation self-bench, then over HTTP 50 SocialNetwork
+# invocations (all 2xx, exact requests_total, warm-pool reuse), 100
+# TailHeavy invocations with hedging armed (hedge wins, exact
+# accounting), 404s that name an unknown workflow, and a clean drain.
 chirond:
 	$(GO) build -o bin/chirond ./cmd/chirond
 
 serve-smoke: chirond
-	./bin/chirond -addr 127.0.0.1:0 -scale 0.01 -preload SocialNetwork -plan \
-		-selfbench 200 -selfbench-conc 8
+	./scripts/serve_smoke.sh
 
 # obs-smoke black-box tests the observability plane: boot chirond with
 # an impossible 1ms SLO, drive 200 violating invocations, then require
@@ -79,13 +80,15 @@ soak:
 udp-soak: chirond soak
 	./scripts/udp_soak.sh
 
-# fuzz runs the UDP packet-parser fuzzer and the jitter-stream
-# equivalence fuzzer (sim.Rand against math/rand) for a fixed iteration
-# budget each (the same budget CI runs); FUZZ_TIME accepts Nx or a duration.
+# fuzz runs the UDP packet-parser fuzzer, the jitter-stream equivalence
+# fuzzer (sim.Rand against math/rand) and the cache LRU fuzzer (against
+# its reference model) for a fixed budget each (the same budget CI
+# runs); FUZZ_TIME accepts Nx or a duration.
 FUZZ_TIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=$(FUZZ_TIME) ./internal/udp/
 	$(GO) test -run='^$$' -fuzz=FuzzRandMatchesMathRand -fuzztime=$(FUZZ_TIME) ./internal/sim/
+	$(GO) test -run='^$$' -fuzz=FuzzCacheLRU -fuzztime=$(FUZZ_TIME) ./internal/parallel/
 
 # tables regenerates every figure/table into results/.
 tables:

@@ -1,8 +1,7 @@
-// Cache benchmarks: the PR-8 rails that picked each cache's default
-// policy (BENCH_pr8.json). Every policy benchmark reports hit_rate next
-// to ns/op — `benchjson compare` prints both columns — because for a
-// cache the two trade off: a policy that is a little slower per lookup
-// but keeps the working set resident under a scan flood wins overall.
+// Cache benchmarks: the sharded LRU's hit path and the singleflight
+// loader under stampedes. The hit-path rail reports hit_rate next to
+// ns/op (`benchjson compare` prints both columns), so a change that
+// loses the working set shows even when lookups get cheaper.
 //
 //	make cache-bench            # just this file
 //	make bench-baseline         # full tracked rails incl. these
@@ -23,17 +22,14 @@ import (
 	"chiron/internal/wrap"
 )
 
-var cachePolicies = []parallel.Policy{parallel.PolicyLRU, parallel.Policy2Q, parallel.PolicyLFU}
-
-// benchCacheMix is the shared harness for the traffic-mix benchmarks:
-// one benchmark op is a full round of batched accesses — 4 workers each
-// walking their own pregenerated 4096-key sequence concurrently — so
-// even the rails' -benchtime=20x samples ~320k lookups and the reported
-// hit_rate is a steady-state figure, not warm-up noise. The sequences
-// are fixed across iterations (seeded rng), so every policy sees the
-// identical access stream and the hit_rate column is directly
-// comparable between sub-benchmarks.
-func benchCacheMix(b *testing.B, pol parallel.Policy, capacity int, gen func(rng *rand.Rand) string) {
+// benchCacheMix is the traffic-mix harness: one benchmark op is a full
+// round of batched accesses — 4 workers each walking their own
+// pregenerated 4096-key sequence concurrently — so even the rails'
+// -benchtime=20x samples ~320k lookups and the reported hit_rate is a
+// steady-state figure, not warm-up noise. The sequences are fixed
+// across iterations (seeded rng), so every run sees the identical
+// access stream.
+func benchCacheMix(b *testing.B, capacity int, gen func(rng *rand.Rand) string) {
 	const workers, perWorker = 4, 4096
 	seqs := make([][]string, workers)
 	for w := range seqs {
@@ -43,7 +39,7 @@ func benchCacheMix(b *testing.B, pol parallel.Policy, capacity int, gen func(rng
 			seqs[w][i] = gen(rng)
 		}
 	}
-	c := parallel.NewCachePolicy[string, int](pol, capacity, 16, parallel.StringHash)
+	c := parallel.NewCache[string, int](capacity, 16, parallel.StringHash)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,67 +66,16 @@ func benchCacheMix(b *testing.B, pol parallel.Policy, capacity int, gen func(rng
 
 // BenchmarkCacheHitHeavy is the steady-state regime every chiron cache
 // spends most of its life in: a working set that fits (512 keys in a
-// 4096-entry cache). Expected hit rate ~1.0 for every policy; the
-// column that differentiates them here is ns/op — the price of the
-// policy's promotion bookkeeping on the hot path (LRU relinks a ring
-// node, 2Q mostly holds still in A1in/Am, LFU sifts a heap).
+// 4096-entry cache). Expected hit rate ~1.0; ns/op is the price of the
+// LRU's promotion bookkeeping (relinking a ring node) on the hot path.
+// The sub-benchmark keeps its /lru name so committed baselines match it.
 func BenchmarkCacheHitHeavy(b *testing.B) {
 	const keys, capacity = 512, 4096
-	for _, pol := range cachePolicies {
-		b.Run(string(pol), func(b *testing.B) {
-			benchCacheMix(b, pol, capacity, func(rng *rand.Rand) string {
-				return fmt.Sprintf("fn-%03d", rng.Intn(keys))
-			})
+	b.Run("lru", func(b *testing.B) {
+		benchCacheMix(b, capacity, func(rng *rand.Rand) string {
+			return fmt.Sprintf("fn-%03d", rng.Intn(keys))
 		})
-	}
-}
-
-// BenchmarkCacheScanFlood is the adversarial regime PR 8 added 2Q for: a
-// hot set that fits (256 keys, 512 capacity) but shares the cache with
-// an equal stream of one-shot scan keys (50% hot / 50% never repeated —
-// a re-plan sweeping candidate groups it will never price again, a
-// junk-name flood against serve's negative cache). Between two touches
-// of a hot key, enough scan keys pass through to cycle an LRU shard;
-// 2Q parks them in the probation queue so the protected queue keeps
-// answering. The hit_rate column is the decision variable here, not
-// ns/op: the ceiling is 0.5 (scan keys never repeat), and the gap to it
-// is hot-set evictions.
-func BenchmarkCacheScanFlood(b *testing.B) {
-	const hot, capacity = 256, 512
-	for _, pol := range cachePolicies {
-		b.Run(string(pol), func(b *testing.B) {
-			scan := 0
-			benchCacheMix(b, pol, capacity, func(rng *rand.Rand) string {
-				if rng.Intn(2) == 0 {
-					scan++
-					return fmt.Sprintf("scan-%d-%d", rng.Int63(), scan)
-				}
-				return fmt.Sprintf("hot-%03d", rng.Intn(hot))
-			})
-		})
-	}
-}
-
-// BenchmarkCacheServeMix replays serve's negative-lookup traffic shape
-// against a cache sized like the default negative cache (1024): a
-// handful of hot typo'd names retried continuously (clients with a
-// stale workflow name) drowned in a long Zipf tail of junk names where
-// most junk still repeats occasionally. The policy that keeps both the
-// retried typos and the recurring head of the tail resident wins; this
-// mix is why the negative cache defaults to 2q.
-func BenchmarkCacheServeMix(b *testing.B) {
-	const capacity, hotNames, tailNames = 1024, 16, 65536
-	for _, pol := range cachePolicies {
-		b.Run(string(pol), func(b *testing.B) {
-			benchCacheMix(b, pol, capacity, func(rng *rand.Rand) string {
-				if rng.Intn(4) == 0 {
-					return fmt.Sprintf("typo-%02d", rng.Intn(hotNames))
-				}
-				zipf := rand.NewZipf(rng, 1.2, 1, tailNames-1)
-				return fmt.Sprintf("junk-%d", zipf.Uint64())
-			})
-		})
-	}
+	})
 }
 
 // stampedeWork is the benchmark loader: ~20µs of CPU with scheduler

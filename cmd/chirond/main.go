@@ -30,9 +30,6 @@ import (
 	"chiron/internal/loadgen"
 	"chiron/internal/obs"
 	"chiron/internal/obs/flight"
-	"chiron/internal/parallel"
-	"chiron/internal/predict"
-	"chiron/internal/profiler"
 	"chiron/internal/serve"
 	"chiron/internal/udp"
 )
@@ -71,37 +68,9 @@ func run(argv []string, stdout, stderr *os.File) error {
 		runtimeInt   = fs.Duration("runtime-interval", 5*time.Second, "runtime/metrics polling interval for chiron_runtime_* gauges (0 disables)")
 		hedgeQ       = fs.Float64("hedge-quantile", 0, "arm a hedged second attempt once a request runs past this multiple of the bias-corrected predicted latency (0 = hedging off)")
 		hedgeMax     = fs.Int("hedge-max-inflight", 0, "max concurrent hedge attempts across all workflows (0 = default 64)")
-
-		// Cache policy/size knobs. Defaults were picked by benchmark (make
-		// cache-bench, BENCH_pr8.json): LRU for predict and profiler (small
-		// strongly re-referenced working sets), 2Q for the negative cache
-		// (junk-name floods must not evict repeat-probed names).
-		predictPol  = fs.String("predict-cache", "lru", "prediction cache policy: lru, 2q or lfu")
-		predictSize = fs.Int("predict-cache-size", 0, "prediction cache capacity in entries (0 = default 32768)")
-		profilePol  = fs.String("profile-cache", "lru", "profiler memo policy: lru, 2q or lfu")
-		profileSize = fs.Int("profile-cache-size", 0, "profiler memo capacity in entries (0 = default 4096)")
-		negPol      = fs.String("neg-cache", "2q", "negative workflow-lookup cache policy: lru, 2q or lfu")
-		negSize     = fs.Int("neg-cache-size", 0, "negative cache capacity in entries (0 = default 1024)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
-	}
-
-	// Boot-time cache configuration, before any planning or traffic: the
-	// Configure* swaps are not synchronized with in-flight lookups.
-	pp, err := parallel.ParsePolicy(*predictPol)
-	if err != nil {
-		return fmt.Errorf("-predict-cache: %w", err)
-	}
-	predict.ConfigureExecCache(pp, *predictSize)
-	fp, err := parallel.ParsePolicy(*profilePol)
-	if err != nil {
-		return fmt.Errorf("-profile-cache: %w", err)
-	}
-	profiler.ConfigureProfileCache(fp, *profileSize)
-	np, err := parallel.ParsePolicy(*negPol)
-	if err != nil {
-		return fmt.Errorf("-neg-cache: %w", err)
 	}
 
 	// The daemon serves the process-wide default registry so /metrics
@@ -127,8 +96,6 @@ func run(argv []string, stdout, stderr *os.File) error {
 		MinImprovement: *minImp,
 		RollbackGuard:  *rbGuard,
 		PlanHistory:    *history,
-		NegCachePolicy: np,
-		NegCacheCap:    *negSize,
 		Reg:            reg,
 		Flight:         fl,
 

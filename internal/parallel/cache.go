@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"sync"
 
 	"chiron/internal/obs"
@@ -17,69 +16,9 @@ type CacheStats struct {
 	Shared uint64
 }
 
-// Policy selects a shard's replacement policy. The shell (sharding, hash,
-// metrics, singleflight) is identical across policies; only what each
-// shard evicts differs. Defaults across the repo are picked by benchmark
-// (make cache-bench, BENCH_pr8.json), not by taste.
-type Policy string
-
-const (
-	// PolicyLRU evicts the least-recently-used entry — the right default
-	// when the working set fits and recency predicts reuse.
-	PolicyLRU Policy = "lru"
-	// Policy2Q is the 2Q algorithm: new keys enter a small FIFO probation
-	// queue (A1in) and are promoted to the main LRU (Am) only when
-	// re-referenced after falling into the ghost queue (A1out). One-shot
-	// scan keys churn through A1in without ever displacing the hot
-	// working set in Am.
-	Policy2Q Policy = "2q"
-	// PolicyLFU evicts the least-frequently-used entry (recency breaks
-	// frequency ties), protecting high-reuse entries against bursts of
-	// medium-frequency traffic.
-	PolicyLFU Policy = "lfu"
-)
-
-// ParsePolicy validates a policy name from a flag or config.
-func ParsePolicy(s string) (Policy, error) {
-	switch p := Policy(s); p {
-	case PolicyLRU, Policy2Q, PolicyLFU:
-		return p, nil
-	}
-	return "", fmt.Errorf("parallel: unknown cache policy %q (want lru, 2q or lfu)", s)
-}
-
-// cachePolicy is one shard's replacement policy. Implementations are not
-// thread-safe: the owning shard's mutex serializes every call. A get hit
-// must not allocate (the shell promises a zero-alloc hit path); put may.
-type cachePolicy[K comparable, V any] interface {
-	// get returns the value and promotes the entry per the policy.
-	get(key K) (V, bool)
-	// put inserts or refreshes an entry, reporting how many live entries
-	// (entries whose values were still cached) it evicted to make room.
-	put(key K, v V) (evicted int)
-	// len is the number of live entries (ghost/bookkeeping entries that
-	// hold no value do not count).
-	len() int
-	// purge drops every entry, live and ghost, keeping capacity.
-	purge()
-}
-
-func newPolicy[K comparable, V any](p Policy, capacity int) cachePolicy[K, V] {
-	switch p {
-	case Policy2Q:
-		return newTwoQPolicy[K, V](capacity)
-	case PolicyLFU:
-		return newLFUPolicy[K, V](capacity)
-	default:
-		return newLRUPolicy[K, V](capacity)
-	}
-}
-
-// Cache is a sharded, bounded, thread-safe cache with a pluggable
-// per-shard replacement policy (in the spirit of samber/hot's
-// sharded/2q/lfu layout). Shards cut lock contention under parallel
-// planners; each shard holds capacity/shards entries and evicts per its
-// policy on overflow.
+// Cache is a sharded, bounded, thread-safe LRU cache. Shards cut lock
+// contention under parallel planners; each shard holds capacity/shards
+// entries and evicts its least-recently-used entry on overflow.
 //
 // The key type is any comparable; the caller supplies the shard-selection
 // hash at construction so hot paths can use fixed-size struct keys (e.g.
@@ -108,12 +47,7 @@ type Cache[K comparable, V any] struct {
 // capacity so every shard can hold at least one entry). hash selects the
 // shard for a key and only needs to spread well, not be cryptographic.
 func NewCache[K comparable, V any](capacity, shards int, hash func(K) uint64) *Cache[K, V] {
-	return NewCachePolicy[K, V](PolicyLRU, capacity, shards, hash)
-}
-
-// NewCachePolicy is NewCache with an explicit replacement policy.
-func NewCachePolicy[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64) *Cache[K, V] {
-	return newCache[K, V](policy, capacity, shards, hash,
+	return newCache[K, V](capacity, shards, hash,
 		&obs.Counter{}, &obs.Counter{}, &obs.Counter{}, &obs.Counter{})
 }
 
@@ -123,15 +57,7 @@ func NewCachePolicy[K comparable, V any](policy Policy, capacity, shards int, ha
 // up in metric dumps (chiron-bench -metrics) without a bespoke reporting
 // path.
 func NewCacheMetrics[K comparable, V any](capacity, shards int, hash func(K) uint64, reg *obs.Registry, prefix string) *Cache[K, V] {
-	return NewCachePolicyMetrics[K, V](PolicyLRU, capacity, shards, hash, reg, prefix)
-}
-
-// NewCachePolicyMetrics is NewCacheMetrics with an explicit replacement
-// policy. Re-creating a cache under the same prefix (ConfigureExecCache
-// and friends) reuses the registered counters, so metric continuity
-// survives a policy swap.
-func NewCachePolicyMetrics[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64, reg *obs.Registry, prefix string) *Cache[K, V] {
-	return newCache[K, V](policy, capacity, shards, hash,
+	return newCache[K, V](capacity, shards, hash,
 		reg.Counter(prefix+"_hits_total", "cache lookups served from the cache"),
 		reg.Counter(prefix+"_misses_total", "cache lookups that fell through to compute"),
 		reg.Counter(prefix+"_evictions_total", "cached entries displaced by inserts"),
@@ -139,7 +65,7 @@ func NewCachePolicyMetrics[K comparable, V any](policy Policy, capacity, shards 
 	)
 }
 
-func newCache[K comparable, V any](policy Policy, capacity, shards int, hash func(K) uint64, hits, misses, evicts, shared *obs.Counter) *Cache[K, V] {
+func newCache[K comparable, V any](capacity, shards int, hash func(K) uint64, hits, misses, evicts, shared *obs.Counter) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -159,7 +85,7 @@ func newCache[K comparable, V any](policy Policy, capacity, shards int, hash fun
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i].pol = newPolicy[K, V](policy, per)
+		c.shards[i].lru.init(per)
 	}
 	return c
 }
@@ -180,11 +106,11 @@ func (c *Cache[K, V]) shard(key K) *cacheShard[K, V] {
 }
 
 // Get returns the cached value and whether it was present, promoting the
-// entry per the shard's policy. A hit performs zero heap allocations.
+// entry to most recently used. A hit performs zero heap allocations.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	v, ok := s.pol.get(key)
+	v, ok := s.lru.get(key)
 	s.mu.Unlock()
 	if ok {
 		c.hits.Inc()
@@ -194,12 +120,12 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return v, ok
 }
 
-// Put inserts or refreshes an entry, evicting per the shard's policy when
-// the shard is full.
+// Put inserts or refreshes an entry, evicting the shard's least recently
+// used entry when the shard is full.
 func (c *Cache[K, V]) Put(key K, v V) {
 	s := c.shard(key)
 	s.mu.Lock()
-	n := s.pol.put(key, v)
+	n := s.lru.put(key, v)
 	s.mu.Unlock()
 	for ; n > 0; n-- {
 		c.evicts.Inc()
@@ -212,7 +138,7 @@ func (c *Cache[K, V]) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.pol.len()
+		n += s.lru.len()
 		s.mu.Unlock()
 	}
 	return n
@@ -226,7 +152,7 @@ func (c *Cache[K, V]) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.pol.purge()
+		s.lru.purge()
 		s.mu.Unlock()
 	}
 }
@@ -241,11 +167,12 @@ func (c *Cache[K, V]) Stats() CacheStats {
 	}
 }
 
-// cacheShard is one lock domain: a policy instance plus the shard's
-// in-flight singleflight calls (lazily allocated; nil until the first
-// GetOrCompute miss).
+// cacheShard is one lock domain: an LRU list plus the shard's in-flight
+// singleflight calls (lazily allocated; nil until the first GetOrCompute
+// miss). The LRU is held by value: its sentinel ring node lives in the
+// shard, whose address is fixed once the shard slice is made.
 type cacheShard[K comparable, V any] struct {
 	mu  sync.Mutex
-	pol cachePolicy[K, V]
+	lru lruPolicy[K, V]
 	fl  map[K]*flightCall[V]
 }

@@ -64,7 +64,7 @@ func TestCacheShardingSpreads(t *testing.T) {
 	// not funnel into a few shards.
 	empty := 0
 	for i := range c.shards {
-		if c.shards[i].pol.len() == 0 {
+		if c.shards[i].lru.len() == 0 {
 			empty++
 		}
 	}

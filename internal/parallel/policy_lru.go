@@ -1,8 +1,9 @@
 package parallel
 
-// lruPolicy is the classic least-recently-used policy: a map into an
+// lruPolicy is one shard's least-recently-used replacement: a map into an
 // intrusive doubly-linked list ordered most- to least-recently used.
 // Hits relink in place (no allocation); overflow evicts the list tail.
+// It is not thread-safe: the owning shard's mutex serializes every call.
 type lruPolicy[K comparable, V any] struct {
 	cap int
 	m   map[K]*lruEntry[K, V]
@@ -16,10 +17,11 @@ type lruEntry[K comparable, V any] struct {
 	prev, next *lruEntry[K, V]
 }
 
-func newLRUPolicy[K comparable, V any](capacity int) *lruPolicy[K, V] {
-	p := &lruPolicy[K, V]{cap: capacity}
+// init sets the capacity and empties the list. The sentinel ring points
+// into p itself, so p must not be copied after init.
+func (p *lruPolicy[K, V]) init(capacity int) {
+	p.cap = capacity
 	p.reset(capacity)
-	return p
 }
 
 // reset empties the policy, presizing its storage for hint entries.
@@ -41,6 +43,7 @@ func (p *lruPolicy[K, V]) pushFront(e *lruEntry[K, V]) {
 	p.head.next = e
 }
 
+// get returns the value and promotes the entry to most recently used.
 func (p *lruPolicy[K, V]) get(key K) (V, bool) {
 	e, ok := p.m[key]
 	if !ok {
@@ -52,6 +55,8 @@ func (p *lruPolicy[K, V]) get(key K) (V, bool) {
 	return e.val, true
 }
 
+// put inserts or refreshes an entry, reporting how many entries (0 or 1)
+// it evicted to make room.
 func (p *lruPolicy[K, V]) put(key K, v V) (evicted int) {
 	if e, ok := p.m[key]; ok {
 		e.val = v

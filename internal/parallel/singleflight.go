@@ -43,7 +43,7 @@ func (c *Cache[K, V]) GetOrCompute(key K, fn func() V) V {
 func (c *Cache[K, V]) GetOrComputeErr(key K, fn func() (V, error)) (v V, computed bool, err error) {
 	s := c.shard(key)
 	s.mu.Lock()
-	if v, ok := s.pol.get(key); ok {
+	if v, ok := s.lru.get(key); ok {
 		s.mu.Unlock()
 		c.hits.Inc()
 		return v, false, nil
@@ -60,7 +60,7 @@ func (c *Cache[K, V]) GetOrComputeErr(key K, fn func() (V, error)) (v V, compute
 func (c *Cache[K, V]) ComputeMissed(key K, fn func() (V, error)) (v V, computed bool, err error) {
 	s := c.shard(key)
 	s.mu.Lock()
-	if v, ok := s.pol.get(key); ok {
+	if v, ok := s.lru.get(key); ok {
 		// The value landed between the caller's Get and this call: a miss
 		// rescued by another goroutine's compute, same as joining its
 		// flight a moment earlier — count it Shared so the invariant
@@ -114,7 +114,7 @@ func (c *Cache[K, V]) computeLocked(s *cacheShard[K, V], key K, fn func() (V, er
 	delete(s.fl, key)
 	evicted := 0
 	if f.err == nil {
-		evicted = s.pol.put(key, f.val)
+		evicted = s.lru.put(key, f.val)
 	}
 	s.mu.Unlock()
 	close(f.done)

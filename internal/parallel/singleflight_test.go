@@ -15,53 +15,51 @@ import (
 // rather than racy-lucky: had dedup failed, every late arrival would
 // have run its own loader.
 func TestGetOrComputeStampede(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(string(pol), func(t *testing.T) {
-			const goroutines = 100
-			c := NewCachePolicy[string, int](pol, 64, 4, StringHash)
+	t.Run("lru", func(t *testing.T) {
+		const goroutines = 100
+		c := NewCache[string, int](64, 4, StringHash)
 
-			var loaders atomic.Int64
-			var entered sync.WaitGroup
-			entered.Add(goroutines)
-			release := make(chan struct{})
+		var loaders atomic.Int64
+		var entered sync.WaitGroup
+		entered.Add(goroutines)
+		release := make(chan struct{})
 
-			var wg sync.WaitGroup
-			results := make([]int, goroutines)
-			for i := 0; i < goroutines; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					entered.Done()
-					results[i] = c.GetOrCompute("cold", func() int {
-						loaders.Add(1)
-						<-release // hold the flight open until everyone has arrived
-						return 42
-					})
-				}(i)
-			}
-			entered.Wait()
-			close(release)
-			wg.Wait()
+		var wg sync.WaitGroup
+		results := make([]int, goroutines)
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				entered.Done()
+				results[i] = c.GetOrCompute("cold", func() int {
+					loaders.Add(1)
+					<-release // hold the flight open until everyone has arrived
+					return 42
+				})
+			}(i)
+		}
+		entered.Wait()
+		close(release)
+		wg.Wait()
 
-			if n := loaders.Load(); n != 1 {
-				t.Fatalf("loader ran %d times for one key, want 1", n)
+		if n := loaders.Load(); n != 1 {
+			t.Fatalf("loader ran %d times for one key, want 1", n)
+		}
+		for i, v := range results {
+			if v != 42 {
+				t.Fatalf("goroutine %d got %d, want 42", i, v)
 			}
-			for i, v := range results {
-				if v != 42 {
-					t.Fatalf("goroutine %d got %d, want 42", i, v)
-				}
-			}
-			st := c.Stats()
-			if st.Misses-st.Shared != 1 {
-				t.Fatalf("Misses-Shared = %d-%d = %d, want 1 (one loader execution)",
-					st.Misses, st.Shared, st.Misses-st.Shared)
-			}
-			// The result landed: the next lookup is a plain hit.
-			if v, ok := c.Get("cold"); !ok || v != 42 {
-				t.Fatalf("post-stampede Get = %d, %v", v, ok)
-			}
-		})
-	}
+		}
+		st := c.Stats()
+		if st.Misses-st.Shared != 1 {
+			t.Fatalf("Misses-Shared = %d-%d = %d, want 1 (one loader execution)",
+				st.Misses, st.Shared, st.Misses-st.Shared)
+		}
+		// The result landed: the next lookup is a plain hit.
+		if v, ok := c.Get("cold"); !ok || v != 42 {
+			t.Fatalf("post-stampede Get = %d, %v", v, ok)
+		}
+	})
 }
 
 // TestComputeMissedStampede exercises the closure-free hot-path pairing

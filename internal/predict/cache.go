@@ -80,29 +80,7 @@ func execKeyHash(k execKey) uint64 {
 // asks. Entries are pure functions of their key, so cache state can change
 // wall-clock time but never results.
 // Counters publish in obs.Default as chiron_predict_cache_*.
-//
-// The default policy and size were picked by benchmark (BENCH_pr8.json):
-// LRU wins the hit-heavy and serve-mix shapes at this capacity because
-// PGP's candidate fan-out re-prices the same groups within a tight
-// window; 2Q's probation queue only pays off when scan traffic floods
-// the cache faster than 1<<15 entries absorb (see BenchmarkCacheScanFlood
-// for the shape where it inverts). ConfigureExecCache swaps either knob
-// at boot.
-var execCache = parallel.NewCachePolicyMetrics[execKey, time.Duration](
-	parallel.PolicyLRU, 1<<15, 16, execKeyHash, obs.Default, "chiron_predict_cache")
-
-// ConfigureExecCache rebuilds the process-wide prediction cache with an
-// explicit policy and capacity (capacity <= 0 keeps the default 1<<15).
-// Call it at boot (chirond -predict-cache), before traffic: the swap is
-// not synchronized with in-flight lookups. Counters are reused across
-// the swap, so metric continuity survives reconfiguration.
-func ConfigureExecCache(policy parallel.Policy, capacity int) {
-	if capacity <= 0 {
-		capacity = 1 << 15
-	}
-	execCache = parallel.NewCachePolicyMetrics[execKey, time.Duration](
-		policy, capacity, 16, execKeyHash, obs.Default, "chiron_predict_cache")
-}
+var execCache = parallel.NewCacheMetrics[execKey, time.Duration](1<<15, 16, execKeyHash, obs.Default, "chiron_predict_cache")
 
 // ExecCacheStats exposes the shared cache's counters (benchmarks track the
 // hit rate across re-plans; Shared counts concurrent misses deduplicated

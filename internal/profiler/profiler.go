@@ -171,27 +171,7 @@ func profKeyOf(spec *behavior.Spec, opt Options) profKey {
 // trace-record/parse cost. The cache holds the canonical copy; every
 // caller receives a private clone on the way out, so callers may mutate
 // what they receive.
-//
-// LRU is the benchmarked default (BENCH_pr8.json): the profile working
-// set is small and strongly re-referenced (every figure shares the FINRA
-// workflows), so probation/frequency machinery buys nothing here.
-// ConfigureProfileCache swaps the policy or size at boot.
-var profileCache = parallel.NewCachePolicyMetrics[profKey, *Profile](
-	parallel.PolicyLRU, 4096, 8,
-	func(k profKey) uint64 { return k.h1 }, obs.Default, "chiron_profile_cache")
-
-// ConfigureProfileCache rebuilds the process-wide profiler memo with an
-// explicit policy and capacity (capacity <= 0 keeps the default 4096).
-// Call it at boot (chirond -profile-cache), before traffic: the swap is
-// not synchronized with in-flight lookups.
-func ConfigureProfileCache(policy parallel.Policy, capacity int) {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	profileCache = parallel.NewCachePolicyMetrics[profKey, *Profile](
-		policy, capacity, 8,
-		func(k profKey) uint64 { return k.h1 }, obs.Default, "chiron_profile_cache")
-}
+var profileCache = parallel.NewCacheMetrics[profKey, *Profile](4096, 8, func(k profKey) uint64 { return k.h1 }, obs.Default, "chiron_profile_cache")
 
 // CacheStats exposes the memo's counters (Shared counts concurrent misses
 // deduplicated by the singleflight loader, so Misses - Shared is the

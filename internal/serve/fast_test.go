@@ -92,20 +92,13 @@ func TestAdmitHashZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestNegativeCacheUnknownWorkflows(t *testing.T) {
+// TestUnknownWorkflowThenRegister: a name misses the registry until it
+// is registered, and from then on resolves (ErrNoPlan, not ErrNotFound).
+func TestUnknownWorkflowThenRegister(t *testing.T) {
 	a := testApp(t, Options{Scale: 0.02})
-	// First miss takes the registry lock and seeds the cache; repeats
-	// are answered by the cache.
-	for i := 0; i < 3; i++ {
-		if _, err := a.Invoke(context.Background(), "ghost", nil); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("lookup %d: %v", i, err)
-		}
+	if _, err := a.Invoke(context.Background(), "ghost", nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("before register: %v (want ErrNotFound)", err)
 	}
-	if hits := a.m.negHits.Value(); hits != 2 {
-		t.Fatalf("negative-cache hits = %d, want 2", hits)
-	}
-
-	// Registering the name must unpoison it immediately.
 	w := testWorkflow(2 * time.Millisecond)
 	w.Name = "ghost"
 	if _, err := a.Register(w); err != nil {
@@ -114,72 +107,6 @@ func TestNegativeCacheUnknownWorkflows(t *testing.T) {
 	if _, err := a.Invoke(context.Background(), "ghost", nil); !errors.Is(err, ErrNoPlan) {
 		t.Fatalf("after register: %v (want ErrNoPlan, not ErrNotFound)", err)
 	}
-}
-
-func TestNegativeCacheBounded(t *testing.T) {
-	a := testApp(t, Options{Scale: 0.02})
-	// Overflow the cap: the cache must evict per-entry rather than grow
-	// without bound, and lookups keep working throughout.
-	for i := 0; i < a.opt.NegCacheCap+10; i++ {
-		name := "junk-" + string(rune('a'+i%26)) + string(rune('0'+i%10)) + itoa(i)
-		if _, err := a.workflow(name); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("lookup %d: %v", i, err)
-		}
-	}
-	if n := a.neg.Len(); n > a.opt.NegCacheCap {
-		t.Fatalf("negative cache grew past cap: %d", n)
-	}
-}
-
-func TestNegativeCacheSurvivesJunkFlood(t *testing.T) {
-	a := testApp(t, Options{Scale: 0.02})
-	// A handful of legitimate-but-unregistered names are probed
-	// repeatedly (clients retrying a typo'd workflow), interleaved with a
-	// flood of one-shot junk names several times the cache capacity.
-	// Under the old drop-the-whole-map scheme every flood wiped the hot
-	// names; under the 2Q policy they are promoted out of the probation
-	// queue and keep answering from the cache.
-	hot := []string{"typo-a", "typo-b", "typo-c", "typo-d"}
-	warm := func() {
-		for _, n := range hot {
-			if _, err := a.workflow(n); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("hot lookup %q: %v", n, err)
-			}
-		}
-	}
-	// Probe twice so each hot name ages through the probation queue once
-	// and is re-admitted into the protected main queue.
-	warm()
-	for i := 0; i < a.opt.NegCacheCap; i++ {
-		_, _ = a.workflow("flood-" + itoa(i))
-	}
-	warm()
-	for i := 0; i < 4*a.opt.NegCacheCap; i++ {
-		_, _ = a.workflow("flood2-" + itoa(i))
-		if i%256 == 0 {
-			warm()
-		}
-	}
-
-	before := a.m.negHits.Value()
-	warm()
-	if got := a.m.negHits.Value() - before; got != uint64(len(hot)) {
-		t.Fatalf("hot negative entries evicted by junk flood: %d/%d served from cache", got, len(hot))
-	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
 }
 
 func TestKeepAliveJitterSpreadsExpiry(t *testing.T) {

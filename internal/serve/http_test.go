@@ -161,6 +161,22 @@ func TestGatewayLifecycle(t *testing.T) {
 	}
 }
 
+// TestGatewayUnknownWorkflowNamed: every 404 for an unknown workflow
+// names it, repeats included, so an operator can tell which name a
+// client got wrong.
+func TestGatewayUnknownWorkflowNamed(t *testing.T) {
+	_, srv := httpApp(t, Options{Scale: 0.05, Reg: obs.NewRegistry()})
+	for i := 0; i < 3; i++ {
+		code, body := doJSON(t, "POST", srv.URL+"/workflows/ghost/invoke", nil)
+		if code != http.StatusNotFound {
+			t.Fatalf("invoke %d: %d %v, want 404", i, code, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "ghost") {
+			t.Fatalf("invoke %d: 404 body %v does not name the workflow", i, body)
+		}
+	}
+}
+
 // TestGatewayBackpressure saturates a 1-slot, 1-seat gateway and expects
 // the third concurrent request to be rejected with 429 + Retry-After
 // instead of queueing unboundedly.

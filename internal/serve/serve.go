@@ -40,7 +40,6 @@ import (
 	"chiron/internal/model"
 	"chiron/internal/obs"
 	"chiron/internal/obs/flight"
-	"chiron/internal/parallel"
 	"chiron/internal/pgp"
 	"chiron/internal/workloads"
 	"chiron/internal/wrap"
@@ -74,12 +73,6 @@ type Options struct {
 	// expiry cannot synchronize a cold-boot storm when traffic returns.
 	// Zero means the default 0.1; negative disables jitter entirely.
 	KeepAliveJitter float64
-	// NegCachePolicy is the replacement policy of the negative cache for
-	// unknown-workflow lookups (default 2Q: a junk-name flood churns
-	// through the probation queue while repeatedly-probed names stay
-	// resident). NegCacheCap bounds it (default 1024).
-	NegCachePolicy parallel.Policy
-	NegCacheCap    int
 	// Window, ViolationTrigger, DriftTrigger, BiasAlpha, Cooldown,
 	// MinImprovement and RollbackGuard parameterize the internal/adapt
 	// controller (zero: adapt's defaults). Cooldown and MinImprovement
@@ -149,12 +142,6 @@ func (o *Options) defaults() {
 	if o.HedgeMaxInflight <= 0 {
 		o.HedgeMaxInflight = 64
 	}
-	if o.NegCachePolicy == "" {
-		o.NegCachePolicy = parallel.Policy2Q
-	}
-	if o.NegCacheCap <= 0 {
-		o.NegCacheCap = 1024
-	}
 	if o.Reg == nil {
 		o.Reg = obs.Default
 	}
@@ -207,7 +194,6 @@ type appMetrics struct {
 	suppressed *obs.Counter
 	rollbacks  *obs.Counter
 	bias       *obs.Gauge
-	negHits    *obs.Counter
 
 	coldCancelled   *obs.Counter
 	deadlineExpired *obs.Counter
@@ -237,8 +223,6 @@ func newAppMetrics(reg *obs.Registry) appMetrics {
 			"plan epochs restored by rollback (operator endpoint or post-swap regression)"),
 		bias: reg.Gauge("chiron_adapt_bias",
 			"calibrated observed/predicted latency ratio x1000 (most recently updated controller)"),
-		negHits: reg.Counter("chiron_serve_negcache_hits_total",
-			"unknown-workflow lookups answered by the negative cache (no registry lock taken)"),
 		coldCancelled: reg.Counter("chiron_serve_cold_cancelled_total",
 			"cold boots cancelled mid-boot (counted in coldstarts_total but never served)"),
 		deadlineExpired: reg.Counter("chiron_serve_deadline_expired_total",
@@ -268,19 +252,6 @@ type App struct {
 	// it lock-free on every packet (workflows are named by hash on the
 	// wire), so a packet flood never touches the registry lock.
 	byHash atomic.Pointer[map[uint64]*workflowState]
-
-	// neg is the negative cache for unknown-workflow lookups: names that
-	// recently missed the registry, held in a small bounded policy cache
-	// (2Q by default) so a junk-name flood evicts per-entry instead of
-	// periodically dropping every legitimate negative entry at once.
-	// negGen/negMu guard the register/note-miss race: Register bumps the
-	// generation and purges under negMu, and a miss noted against a stale
-	// generation is discarded — a name can never be poisoned after its
-	// registration lands. Lookups that hit the cache touch only the
-	// shard lock and return the static canned error (zero allocations).
-	neg    *parallel.Cache[string, struct{}]
-	negGen atomic.Uint64
-	negMu  sync.Mutex
 
 	resMu    sync.Mutex
 	results  map[string]*asyncResult
@@ -316,7 +287,6 @@ func New(opt Options) *App {
 		results: map[string]*asyncResult{},
 		drained: make(chan struct{}),
 		quit:    make(chan struct{}),
-		neg:     parallel.NewCachePolicy[string, struct{}](opt.NegCachePolicy, opt.NegCacheCap, 4, parallel.StringHash),
 	}
 	a.reaperW.Add(1)
 	go a.reaper()
@@ -502,18 +472,6 @@ func (a *App) Register(w *dag.Workflow) (created bool, err error) {
 		a.rebuildHashIndexLocked()
 	}
 	a.mu.Unlock()
-	if !ok {
-		// Invalidate the negative cache after the registry insert. The
-		// generation bump and purge are serialized (negMu) against miss
-		// notes: a lookup that missed the registry before this insert
-		// either notes its miss first (and the purge clears it) or sees
-		// the bumped generation and discards the note — the registered
-		// name can never be re-poisoned.
-		a.negMu.Lock()
-		a.negGen.Add(1)
-		a.neg.Purge()
-		a.negMu.Unlock()
-	}
 	wf.behMu.Lock()
 	wf.cur = w
 	wf.behMu.Unlock()
@@ -547,28 +505,16 @@ func (a *App) RegisterBuiltin(name string) (created bool, err error) {
 	return false, fmt.Errorf("serve: unknown builtin workload %q: %w", name, ErrNotFound)
 }
 
-// errUnknownWorkflow is the negative cache's canned miss: a static error
-// so the hot reject path does not allocate per lookup.
+// errUnknownWorkflow is AdmitHashID's canned reject for a hash that
+// names no registered workflow: a static error, so the UDP plane's
+// unknown-hash path does not allocate per packet.
 var errUnknownWorkflow = fmt.Errorf("serve: unknown workflow: %w", ErrNotFound)
 
 func (a *App) workflow(name string) (*workflowState, error) {
-	if _, miss := a.neg.Get(name); miss {
-		a.m.negHits.Inc()
-		return nil, errUnknownWorkflow
-	}
-	// Snapshot the generation before the registry read: if a
-	// registration lands between the read and the note below, it bumps
-	// the generation and the note is discarded.
-	gen := a.negGen.Load()
 	a.mu.RLock()
 	wf, ok := a.wfs[name]
 	a.mu.RUnlock()
 	if !ok {
-		a.negMu.Lock()
-		if a.negGen.Load() == gen {
-			a.neg.Put(name, struct{}{})
-		}
-		a.negMu.Unlock()
 		return nil, fmt.Errorf("serve: workflow %q: %w", name, ErrNotFound)
 	}
 	return wf, nil
