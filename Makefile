@@ -11,7 +11,7 @@ GO ?= go
 # sub-ms benchmarks are otherwise pure scheduler noise and back-to-back
 # identical runs trip the 10% gate.
 BENCH_JSON    ?= BENCH_pr10.json
-BENCH_PATTERN ?= ^(BenchmarkFig|BenchmarkTable|BenchmarkGateway|BenchmarkUDP|BenchmarkCache|BenchmarkEngineRequest|BenchmarkGILSimulate|BenchmarkProfileWorkflow|BenchmarkPGPPlan)
+BENCH_PATTERN ?= ^(BenchmarkFig|BenchmarkTable|BenchmarkGateway|BenchmarkUDP|BenchmarkCache|BenchmarkEngineRequest|BenchmarkGILSimulate|BenchmarkProfileWorkflow|BenchmarkPGPPlan|BenchmarkLiveRun)
 BENCH_TIME    ?= 20x
 BENCH_COUNT   ?= 5
 # The hedging rail drives 200 wall-clock requests per iteration (nominal
@@ -53,10 +53,11 @@ cache-bench:
 	$(GO) test -run='^$$' -bench='^BenchmarkCache' -benchmem -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) .
 
 # chirond builds the serving daemon; serve-smoke black-box tests it:
-# a 200-invocation self-bench, then over HTTP 50 SocialNetwork
-# invocations (all 2xx, exact requests_total, warm-pool reuse), 100
-# TailHeavy invocations with hedging armed (hedge wins, exact
-# accounting), 404s that name an unknown workflow, and a clean drain.
+# a 200-invocation self-bench (all 200 served), then over HTTP 50
+# SocialNetwork invocations (all 2xx, exact requests_total, warm-pool
+# reuse), 302 TailHeavy invocations with hedging armed (hedge wins,
+# exact accounting), 404s that name an unknown workflow, and a clean
+# drain.
 chirond:
 	$(GO) build -o bin/chirond ./cmd/chirond
 

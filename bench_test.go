@@ -25,6 +25,7 @@ import (
 	"chiron/internal/engine"
 	"chiron/internal/experiments"
 	"chiron/internal/gil"
+	"chiron/internal/live"
 	"chiron/internal/model"
 	"chiron/internal/obs"
 	"chiron/internal/parallel"
@@ -199,6 +200,34 @@ func BenchmarkEngineRequestASF200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env.Seed = int64(i)
 		if _, err := engine.Run(w, plan, env); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLiveRunFINRA50 measures the live executor's own cost: one
+// warm FINRA-50 request under the Chiron plan at Scale 1e-6, where the
+// modelled sleeps shrink to nanoseconds and what remains is goroutines,
+// GIL handoffs, joins and span bookkeeping (the executor-overhead layer
+// of the serving budget).
+func BenchmarkLiveRunFINRA50(b *testing.B) {
+	w := workloads.FINRA(50)
+	set, err := profiler.ProfileWorkflow(w, profiler.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := platform.Chiron(model.Default()).Plan(w, set, 300*time.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := live.Options{Const: model.Default(), Scale: 1e-6}
+	if _, err := live.Run(w, plan, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := live.Run(w, plan, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,7 @@ func BenchmarkCacheStampede(b *testing.B) {
 // on a cold prediction-cache key resolving through the real GIL
 // simulation. The sims/op column must stay at 1.0 — a regression to
 // per-goroutine simulation multiplies ns/op and trips the gate against
-// BENCH_pr8.json.
+// BENCH_pr10.json.
 func BenchmarkCachePredictStampede(b *testing.B) {
 	const racers = 16
 	w := workloads.FINRA(8)

@@ -12,6 +12,20 @@
 // in-memory store. Wall-clock scheduling noise makes results
 // non-deterministic — that is the point; tests assert envelopes, not
 // equalities.
+//
+// Modelled time is paced against due times rather than slept relatively.
+// Every goroutine chain (a stage's wrap, the orchestrator's fork loop, a
+// forked process, a process main, a function thread, a pool worker)
+// carries the wall-clock instant its schedule says it should have
+// reached; a modelled sleep advances that instant and parks only while
+// the wall clock is still short of it. Sub-microsecond sleeps at small
+// Scale therefore cost a clock read, not a timer, and a chain's wall time
+// is never below its modelled schedule. A child chain starts from its
+// parent's due time. Every handoff between chains carries the sender's
+// due time (the GIL token and a cpuset slot carry their releaser's, a
+// pool task its dispatcher's, a join its latest child's), and the
+// receiver moves its own due time up to it, so a chain waits as long as
+// the schedule says and never inherits another chain's timer overshoot.
 package live
 
 import (
@@ -132,12 +146,13 @@ func RunCtx(parent context.Context, w *dag.Workflow, plan *wrap.Plan, opt Option
 		tids:    map[int]int{},
 		verbose: obs.IsVerbose(opt.Rec),
 	}
+	due := r.t0
 	for si := range w.Stages {
 		wraps, err := plan.StageWraps(w, si)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.runStage(si, wraps); err != nil {
+		if err := r.runStage(si, wraps, &due); err != nil {
 			return nil, err
 		}
 	}
@@ -245,17 +260,64 @@ func (r *runner) nominalSince(from time.Time) time.Duration {
 	return time.Duration(float64(time.Since(from)) / r.opt.scale())
 }
 
-// sleep waits d nominal time (scaled), honouring cancellation.
-func (r *runner) sleep(d time.Duration) {
+// sleep advances the chain's due time by d nominal time (scaled).
+func (r *runner) sleep(due *time.Time, d time.Duration) {
+	r.sleepWall(due, time.Duration(float64(d)*r.opt.scale()))
+}
+
+// sleepWall advances the chain's due time by a wall-clock duration
+// (already scaled) and waits until the wall clock reaches it, honouring
+// cancellation. When the wall clock is already past due there is no
+// timer and no park.
+func (r *runner) sleepWall(due *time.Time, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	scaled := time.Duration(float64(d) * r.opt.scale())
-	t := time.NewTimer(scaled)
+	*due = due.Add(d)
+	wait := time.Until(*due)
+	if wait <= 0 {
+		return
+	}
+	t := time.NewTimer(wait)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-r.ctx.Done():
+	}
+}
+
+// resync moves a chain's due time up to now: bound code runs on the
+// wall clock, outside the modelled schedule.
+func resync(due *time.Time) {
+	if now := time.Now(); now.After(*due) {
+		*due = now
+	}
+}
+
+// join waits for a set of child chains and carries the latest of their
+// due times back to the parent chain.
+type join struct {
+	wg  sync.WaitGroup
+	mu  sync.Mutex
+	due time.Time
+}
+
+// done reports one child chain's final due time.
+func (j *join) done(due time.Time) {
+	j.mu.Lock()
+	if due.After(j.due) {
+		j.due = due
+	}
+	j.mu.Unlock()
+	j.wg.Done()
+}
+
+// wait blocks until every child is done and moves due up to the latest
+// child's.
+func (j *join) wait(due *time.Time) {
+	j.wg.Wait()
+	if j.due.After(*due) {
+		*due = j.due
 	}
 }
 
@@ -275,10 +337,11 @@ func (r *runner) record(t FnTiming) {
 
 // runStage executes one stage: the local wrap in place, remote wraps with
 // invocation stride and RPC cost, all joined at a barrier (stages are
-// strictly ordered).
-func (r *runner) runStage(si int, wraps []wrap.StageWrap) error {
+// strictly ordered). due is the request chain's; each wrap goroutine
+// starts from it.
+func (r *runner) runStage(si int, wraps []wrap.StageWrap, due *time.Time) error {
 	stageStart := r.nominalSince(r.t0)
-	var wg sync.WaitGroup
+	var j join
 	remoteRank := 0
 	for i := range wraps {
 		sw := wraps[i]
@@ -289,14 +352,13 @@ func (r *runner) runStage(si int, wraps []wrap.StageWrap) error {
 			delay = time.Duration(remoteRank) * r.opt.Const.InvokeCost
 			rpc = r.opt.Const.RPCCost
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.sleep(delay)
-			r.runWrap(si, sw)
+		j.wg.Add(1)
+		go func(due time.Time) {
+			r.sleep(&due, delay)
+			r.runWrap(si, sw, &due)
 			if rpc > 0 {
 				from := r.nominalSince(r.t0)
-				r.sleep(rpc)
+				r.sleep(&due, rpc)
 				if rec := r.opt.Rec; rec != nil {
 					rec.RecordSpan(obs.Span{
 						PID: sw.Sandbox + 1, TID: 0, Name: "rpc", Cat: obs.CatRPC,
@@ -304,9 +366,10 @@ func (r *runner) runStage(si int, wraps []wrap.StageWrap) error {
 					})
 				}
 			}
-		}()
+			j.done(due)
+		}(*due)
 	}
-	wg.Wait()
+	j.wait(due)
 	if rec := r.opt.Rec; rec != nil {
 		var args []obs.Arg
 		if r.verbose {
@@ -331,45 +394,45 @@ func (r *runner) runStage(si int, wraps []wrap.StageWrap) error {
 
 // runWrap executes one wrap's process groups: the resident main group
 // immediately, forked groups serialized by block time; results gathered
-// over pipes (modelled as a final sleep).
-func (r *runner) runWrap(si int, sw wrap.StageWrap) {
+// over pipes (modelled as a final sleep). due is the wrap orchestrator's
+// chain; every process starts from it at its fork.
+func (r *runner) runWrap(si int, sw wrap.StageWrap, due *time.Time) {
 	pid := sw.Sandbox + 1
 	if tr, ok := r.opt.Rec.(obs.Namer); ok {
 		tr.NameProcess(pid, sandboxName(sw.Sandbox))
 	}
 	wrapStart := r.nominalSince(r.t0)
 	if sw.Cfg.Pool {
-		r.runPool(si, sw)
+		r.runPool(si, sw, due)
 		r.emitWrapSpan(si, pid, wrapStart)
 		return
 	}
-	var wg sync.WaitGroup
+	var j join
 	for _, g := range sw.Procs {
-		g := g
 		resident := g.Proc == 0 && !sw.Cfg.ForkPerRequest
 		if !resident {
 			// The orchestrator issues this fork, then blocks the next
 			// one (Observation 2's sequential forking).
 			r.instant(pid, 0, "fork", obs.CatFork, obs.A("proc", g.Proc))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.sleep(r.opt.Const.ProcStartup)
-				r.runProcess(si, sw, g)
-			}()
-			r.sleep(r.opt.Const.ProcBlockStep)
+			j.wg.Add(1)
+			go func(due time.Time) {
+				r.sleep(&due, r.opt.Const.ProcStartup)
+				r.runProcess(si, sw, g, &due)
+				j.done(due)
+			}(*due)
+			r.sleep(due, r.opt.Const.ProcBlockStep)
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runProcess(si, sw, g)
-		}()
+		j.wg.Add(1)
+		go func(due time.Time) {
+			r.runProcess(si, sw, g, &due)
+			j.done(due)
+		}(*due)
 	}
-	wg.Wait()
+	j.wait(due)
 	if n := len(sw.Procs); n > 1 {
 		from := r.nominalSince(r.t0)
-		r.sleep(time.Duration(n-1) * r.opt.Const.IPCCost)
+		r.sleep(due, time.Duration(n-1)*r.opt.Const.IPCCost)
 		if rec := r.opt.Rec; rec != nil {
 			rec.RecordSpan(obs.Span{
 				PID: pid, TID: 0, Name: "ipc", Cat: obs.CatIPC,
@@ -396,8 +459,10 @@ func (r *runner) emitWrapSpan(si, pid int, from time.Duration) {
 }
 
 // runProcess executes one process's functions as threads sharing a GIL
-// (for pseudo-parallel runtimes) or truly in parallel (GIL-free).
-func (r *runner) runProcess(si int, sw wrap.StageWrap, g wrap.ProcGroup) {
+// (for pseudo-parallel runtimes) or truly in parallel (GIL-free). due is
+// the process main's chain, which clones the threads serially and ends
+// at the latest thread's due time.
+func (r *runner) runProcess(si int, sw wrap.StageWrap, g wrap.ProcGroup, due *time.Time) {
 	if len(g.Functions) == 0 {
 		return
 	}
@@ -405,25 +470,39 @@ func (r *runner) runProcess(si int, sw wrap.StageWrap, g wrap.ProcGroup) {
 	if g.Functions[0].Runtime.PseudoParallel() {
 		lock = newGIL(time.Duration(float64(r.opt.Const.GILInterval) * r.opt.scale()))
 	}
-	var wg sync.WaitGroup
-	for i, fn := range g.Functions {
-		fn := fn
+	var j join
+	for _, fn := range g.Functions {
 		// Thread clone cost, paid serially by the process main.
 		if len(g.Functions) > 1 || g.Proc == 0 {
-			r.sleep(r.opt.Const.ThreadStartup)
+			r.sleep(due, r.opt.Const.ThreadStartup)
 		}
-		_ = i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runFunction(si, sw.Sandbox, fn, lock)
-		}()
+		j.wg.Add(1)
+		go r.thread(si, sw.Sandbox, fn, lock, &j, *due)
 	}
-	wg.Wait()
+	j.wait(due)
 }
 
-// runPool executes the wrap's functions on a worker pool.
-func (r *runner) runPool(si int, sw wrap.StageWrap) {
+// thread runs one function thread from its spawn-time due and reports
+// its final due time to j. (A method call rather than a closure: one
+// allocation per thread, not two.)
+func (r *runner) thread(si, sandbox int, fn *behavior.Spec, lock *gilLock, j *join, due time.Time) {
+	r.runFunction(si, sandbox, fn, lock, &due)
+	j.done(due)
+}
+
+// poolTask is one dispatched function and the dispatcher's due time at
+// its dispatch.
+type poolTask struct {
+	fn  *behavior.Spec
+	due time.Time
+}
+
+// runPool executes the wrap's functions on a worker pool. due is the
+// dispatcher's chain; every worker starts from it. The dispatcher pays
+// its dispatch cost serially and never waits for a worker in modelled
+// time; a task starts at the later of its dispatch and its worker's
+// last finish.
+func (r *runner) runPool(si int, sw wrap.StageWrap, due *time.Time) {
 	var fns []*behavior.Spec
 	for _, g := range sw.Procs {
 		fns = append(fns, g.Functions...)
@@ -435,31 +514,35 @@ func (r *runner) runPool(si int, sw wrap.StageWrap) {
 	// CPU slots bound concurrent CPU spans; pool workers are GIL-free
 	// processes.
 	cpus := newCPUSet(max(sw.Cfg.CPUs, 1))
-	tasks := make(chan *behavior.Spec)
-	var wg sync.WaitGroup
+	tasks := make(chan poolTask)
+	var j join
 	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fn := range tasks {
-				r.runFunctionOnCPUs(si, sw.Sandbox, fn, cpus)
+		j.wg.Add(1)
+		go func(due time.Time) {
+			for t := range tasks {
+				if t.due.After(due) {
+					due = t.due
+				}
+				r.runFunctionOnCPUs(si, sw.Sandbox, t.fn, cpus, &due)
 			}
-		}()
+			j.done(due)
+		}(*due)
 	}
 	for _, fn := range fns {
-		r.sleep(r.opt.Const.PoolDispatch)
+		r.sleep(due, r.opt.Const.PoolDispatch)
 		select {
-		case tasks <- fn:
+		case tasks <- poolTask{fn: fn, due: *due}:
 		case <-r.ctx.Done():
 		}
 	}
 	close(tasks)
-	wg.Wait()
+	j.wait(due)
 }
 
 // runFunction executes one function: bound code if present, spec replay
-// otherwise, under the process GIL when one exists.
-func (r *runner) runFunction(si, sandbox int, fn *behavior.Spec, lock *gilLock) {
+// otherwise, under the process GIL when one exists. due is the thread's
+// chain.
+func (r *runner) runFunction(si, sandbox int, fn *behavior.Spec, lock *gilLock, due *time.Time) {
 	start := r.nominalSince(r.t0)
 	pid := sandbox + 1
 	tid := 0
@@ -475,17 +558,18 @@ func (r *runner) runFunction(si, sandbox int, fn *behavior.Spec, lock *gilLock) 
 	}
 	if bound, ok := r.opt.Bindings[fn.Name]; ok {
 		if lock != nil {
-			lock.acquire()
+			lock.acquire(due)
 			if gilEv != nil {
 				gilEv(obs.GILAcquire)
 			}
 		}
 		err := bound(&Ctx{Store: r.store, Spec: fn, Context: r.ctx})
+		resync(due)
 		if lock != nil {
 			if gilEv != nil {
 				gilEv(obs.GILRelease)
 			}
-			lock.release()
+			lock.release(*due)
 		}
 		if err != nil {
 			r.fail(fmt.Errorf("live: function %s: %w", fn.Name, err))
@@ -494,13 +578,11 @@ func (r *runner) runFunction(si, sandbox int, fn *behavior.Spec, lock *gilLock) 
 		for _, seg := range fn.Segments {
 			dur := segmentDur(seg)
 			if seg.Kind.Blocking() || lock == nil {
-				r.sleep(dur)
+				r.sleep(due, dur)
 				continue
 			}
 			// CPU span: hold the GIL, yielding every switch interval.
-			lock.run(func(quantum time.Duration) {
-				r.sleepWall(quantum)
-			}, time.Duration(float64(dur)*r.opt.scale()), gilEv)
+			lock.run(r, due, time.Duration(float64(dur)*r.opt.scale()), gilEv)
 		}
 	}
 	finish := r.nominalSince(r.t0)
@@ -519,7 +601,8 @@ func (r *runner) runFunction(si, sandbox int, fn *behavior.Spec, lock *gilLock) 
 }
 
 // runFunctionOnCPUs executes a pool task: CPU spans occupy a cpu slot.
-func (r *runner) runFunctionOnCPUs(si, sandbox int, fn *behavior.Spec, cpus *cpuSet) {
+// due is the pool worker's chain.
+func (r *runner) runFunctionOnCPUs(si, sandbox int, fn *behavior.Spec, cpus *cpuSet, due *time.Time) {
 	start := r.nominalSince(r.t0)
 	pid := sandbox + 1
 	tid := 0
@@ -527,9 +610,10 @@ func (r *runner) runFunctionOnCPUs(si, sandbox int, fn *behavior.Spec, cpus *cpu
 		tid = r.nextTID(sandbox)
 	}
 	if bound, ok := r.opt.Bindings[fn.Name]; ok {
-		cpus.acquire()
+		cpus.acquire(due)
 		err := bound(&Ctx{Store: r.store, Spec: fn, Context: r.ctx})
-		cpus.release()
+		resync(due)
+		cpus.release(*due)
 		if err != nil {
 			r.fail(fmt.Errorf("live: function %s: %w", fn.Name, err))
 		}
@@ -537,12 +621,12 @@ func (r *runner) runFunctionOnCPUs(si, sandbox int, fn *behavior.Spec, cpus *cpu
 		for _, seg := range fn.Segments {
 			dur := segmentDur(seg)
 			if seg.Kind.Blocking() {
-				r.sleep(dur)
+				r.sleep(due, dur)
 				continue
 			}
-			cpus.acquire()
-			r.sleep(dur)
-			cpus.release()
+			cpus.acquire(due)
+			r.sleep(due, dur)
+			cpus.release(*due)
 		}
 	}
 	finish := r.nominalSince(r.t0)
@@ -571,52 +655,50 @@ func segmentDur(seg behavior.Segment) time.Duration {
 	return seg.Dur
 }
 
-// sleepWall sleeps a wall-clock duration (already scaled).
-func (r *runner) sleepWall(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-r.ctx.Done():
-	}
-}
-
 // ---- GIL emulation ----
 
 // gilLock is a token-passing global interpreter lock: one holder at a
 // time; holders of long CPU spans yield at every switch interval so
 // waiters interleave, exactly like Figure 2's timeout-triggered drop.
+// The token carries its last releaser's due time.
 type gilLock struct {
-	token   chan struct{}
+	token   chan time.Time
 	quantum time.Duration
 }
 
 func newGIL(quantum time.Duration) *gilLock {
-	g := &gilLock{token: make(chan struct{}, 1), quantum: quantum}
-	g.token <- struct{}{}
+	g := &gilLock{token: make(chan time.Time, 1), quantum: quantum}
+	g.token <- time.Time{}
 	return g
 }
 
-func (g *gilLock) acquire() { <-g.token }
-func (g *gilLock) release() { g.token <- struct{}{} }
+// acquire takes the token and moves due up to the releaser's.
+func (g *gilLock) acquire(due *time.Time) { takeDue(g.token, due) }
 
-// run executes total wall-time of CPU work in quantum-sized slices,
-// acquiring the token for each slice. ev (nil when tracing is off)
-// observes the token protocol: one acquire when the CPU span first
-// takes the token, a switch at every intermediate re-acquisition
-// (the timeout-triggered drop of Figure 2), one release at the end —
-// so a CPU span always carries exactly one gil.acquire.
-func (g *gilLock) run(slice func(time.Duration), total time.Duration, ev func(string)) {
+// release hands the token on, stamped with the holder's due time.
+func (g *gilLock) release(due time.Time) { g.token <- due }
+
+// takeDue receives a due-stamped token and moves due up to its stamp.
+func takeDue(c chan time.Time, due *time.Time) {
+	if t := <-c; t.After(*due) {
+		*due = t
+	}
+}
+
+// run executes total wall-time of CPU work in quantum-sized slices on
+// the thread chain due, acquiring the token for each slice. ev (nil
+// when tracing is off) observes the token protocol: one acquire when
+// the CPU span first takes the token, a switch at every intermediate
+// re-acquisition (the timeout-triggered drop of Figure 2), one release
+// at the end — so a CPU span always carries exactly one gil.acquire.
+func (g *gilLock) run(r *runner, due *time.Time, total time.Duration, ev func(string)) {
 	first := true
 	for total > 0 {
 		q := g.quantum
 		if q <= 0 || q > total {
 			q = total
 		}
-		g.acquire()
+		g.acquire(due)
 		if ev != nil {
 			if first {
 				ev(obs.GILAcquire)
@@ -625,25 +707,26 @@ func (g *gilLock) run(slice func(time.Duration), total time.Duration, ev func(st
 				ev(obs.GILSwitch)
 			}
 		}
-		slice(q)
+		r.sleepWall(due, q)
 		total -= q
 		if ev != nil && total <= 0 {
 			ev(obs.GILRelease)
 		}
-		g.release()
+		g.release(*due)
 	}
 }
 
-// cpuSet is a counted semaphore standing for a cpuset.
-type cpuSet struct{ slots chan struct{} }
+// cpuSet is a counted semaphore standing for a cpuset. Each slot
+// carries its last releaser's due time.
+type cpuSet struct{ slots chan time.Time }
 
 func newCPUSet(n int) *cpuSet {
-	c := &cpuSet{slots: make(chan struct{}, n)}
+	c := &cpuSet{slots: make(chan time.Time, n)}
 	for i := 0; i < n; i++ {
-		c.slots <- struct{}{}
+		c.slots <- time.Time{}
 	}
 	return c
 }
 
-func (c *cpuSet) acquire() { <-c.slots }
-func (c *cpuSet) release() { c.slots <- struct{}{} }
+func (c *cpuSet) acquire(due *time.Time) { takeDue(c.slots, due) }
+func (c *cpuSet) release(due time.Time)  { c.slots <- due }
