@@ -55,7 +55,7 @@ cache-bench:
 # chirond builds the serving daemon; serve-smoke black-box tests it:
 # a 200-invocation self-bench (all 200 served), then over HTTP 50
 # SocialNetwork invocations (all 2xx, exact requests_total, warm-pool
-# reuse), 302 TailHeavy invocations with hedging armed (hedge wins,
+# reuse), 100 TailHeavy invocations with hedging armed (hedge wins,
 # exact accounting), 404s that name an unknown workflow, and a clean
 # drain.
 chirond:

@@ -717,7 +717,12 @@ func (g *gilLock) run(r *runner, due *time.Time, total time.Duration, ev func(st
 }
 
 // cpuSet is a counted semaphore standing for a cpuset. Each slot
-// carries its last releaser's due time.
+// carries its last releaser's due time. Free slots come back in the
+// order they were released on the wall clock, not by due time, so a
+// chain running behind its schedule can take a later-stamped slot while
+// an earlier one is free and start later than gil.Dispatcher would
+// place it. That only ever delays the modelled schedule, never
+// undershoots it, and is accepted to keep acquire a channel receive.
 type cpuSet struct{ slots chan time.Time }
 
 func newCPUSet(n int) *cpuSet {

@@ -159,12 +159,71 @@ func TestPoolColdCancelAccounting(t *testing.T) {
 	}
 
 	// The pool still serves: a fresh acquire boots cold and parks warm.
-	cold, err := pool.acquire(context.Background())
-	if err != nil || !cold {
-		t.Fatalf("acquire after cancel: cold=%v err=%v", cold, err)
+	boot, err := pool.acquire(context.Background())
+	if err != nil || boot == 0 {
+		t.Fatalf("acquire after cancel: boot=%v err=%v", boot, err)
 	}
 	pool.release(time.Now())
 	if st := pool.stats(); st.Warm != 1 || st.Total != 1 {
+		t.Fatalf("pool after release: %+v", st)
+	}
+}
+
+// TestPoolSpareBootParks: a hedge's boot cancelled mid-way (its primary
+// won) is not undone. The instance parks as a spare below the booted
+// ones; a later lease takes it without a new cold start and waits out
+// only the rest of its boot.
+func TestPoolSpareBootParks(t *testing.T) {
+	a := testApp(t, Options{Scale: 1}) // coldWall = full 167ms ColdStart
+	if _, err := a.Register(testWorkflow(4 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	mustPlan(t, a, "wf-test", 400*time.Millisecond)
+	pool := a.wfs["wf-test"].active.Load().pool
+
+	orphan := func() {
+		t.Helper()
+		cold := a.m.cold.Value()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := pool.acquireSpare(ctx)
+			done <- err
+		}()
+		waitFor(t, func() bool { return a.m.cold.Value() == cold+1 })
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled spare acquire: %v, want Canceled", err)
+		}
+	}
+
+	orphan()
+	if got := a.m.coldCancelled.Value(); got != 0 {
+		t.Fatalf("cold_cancelled_total = %d, want 0 (the boot runs on)", got)
+	}
+	if st := pool.stats(); st.Total != 1 || st.Warm != 1 || st.ResidentMB <= 0 {
+		t.Fatalf("spare not parked: %+v", st)
+	}
+
+	// The next lease takes the spare without a new cold start and waits
+	// only the rest of its boot.
+	boot, err := pool.acquire(context.Background())
+	if err != nil || boot <= 0 || boot >= a.opt.Const.ColdStart {
+		t.Fatalf("acquire of the spare: boot=%v err=%v, want in (0, %v)", boot, err, a.opt.Const.ColdStart)
+	}
+	if got := a.m.cold.Value(); got != 1 {
+		t.Fatalf("coldstarts_total = %d, want 1 (the spare is not booted again)", got)
+	}
+
+	// A second spare, orphaned while that instance is leased, parks
+	// below it once it is released: the booted one is leased first.
+	orphan()
+	pool.release(time.Now())
+	if boot, err := pool.acquire(context.Background()); err != nil || boot != 0 {
+		t.Fatalf("acquire with a booted instance idle: boot=%v err=%v, want a warm hit", boot, err)
+	}
+	pool.release(time.Now())
+	if st := pool.stats(); st.Total != 2 || st.Warm != 2 {
 		t.Fatalf("pool after release: %+v", st)
 	}
 }

@@ -157,7 +157,7 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 	sloNow := wf.adm.slo()
 	start := time.Now()
 
-	cold, err := ps.pool.acquire(ctx)
+	coldCost, err := ps.pool.acquire(ctx)
 	if err != nil {
 		fl.Finish(fr, flight.Info{
 			Workflow: wf.name, Latency: a.nominalSince(start) + wait, SLO: sloNow, Err: err,
@@ -196,11 +196,6 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 		return nil, FastResult{}, err
 	}
 
-	coldCost := time.Duration(0)
-	if cold {
-		coldCost = a.opt.Const.ColdStart
-	}
-
 	// A hedged request's end-to-end time is measured, not modelled: it
 	// spans the hedge delay plus whichever attempt finished first (and
 	// folds in the hedge instance's boot, which happened inside the
@@ -237,7 +232,7 @@ func (a *App) executeAdmitted(ctx context.Context, wf *workflowState, wait time.
 
 	return res, FastResult{
 		PlanVersion:  ps.version,
-		Cold:         cold,
+		Cold:         coldCost > 0,
 		ColdStart:    coldCost,
 		QueueWait:    wait,
 		E2E:          e2e,

@@ -43,11 +43,10 @@ func (a *App) hedgeDelay(wf *workflowState) time.Duration {
 // claimed the per-request result race — at most one attempt ever has
 // it, which is what makes result delivery exactly once.
 type hedgeAttempt struct {
-	res  *live.Result
-	err  error
-	idx  int // 0 = primary, 1 = hedge
-	cold bool
-	won  bool
+	res *live.Result
+	err error
+	idx int // 0 = primary, 1 = hedge
+	won bool
 }
 
 // runHedged executes the invocation with a hedge armed. The primary
@@ -70,7 +69,7 @@ func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, r
 	hedgeCtx, cancelHedge := context.WithCancel(ctx)
 	defer cancelHedge()
 
-	run := func(rctx context.Context, idx int, cold bool) {
+	run := func(rctx context.Context, idx int) {
 		r, rerr := live.RunCtx(rctx, beh, ps.plan, live.Options{
 			Const:   a.opt.Const,
 			Scale:   a.opt.Scale,
@@ -79,9 +78,9 @@ func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, r
 		})
 		ps.pool.release(time.Now())
 		won := rerr == nil && claim.CompareAndSwap(0, uint32(idx)+1)
-		done <- hedgeAttempt{res: r, err: rerr, idx: idx, cold: cold, won: won}
+		done <- hedgeAttempt{res: r, err: rerr, idx: idx, won: won}
 	}
-	go run(primCtx, 0, false)
+	go run(primCtx, 0)
 
 	outstanding := 1
 	var first *hedgeAttempt
@@ -107,14 +106,13 @@ func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, r
 			}
 			go func() {
 				defer a.hedgeInflight.Add(-1)
-				// The hedge leases its own instance; a cancelled boot is
-				// unwound by acquireN's rollback accounting.
-				cold, aerr := ps.pool.acquire(hedgeCtx)
-				if aerr != nil {
+				// The hedge leases its own instance. A boot that the
+				// primary's win cancels parks as a spare for later hedges.
+				if _, aerr := ps.pool.acquireSpare(hedgeCtx); aerr != nil {
 					done <- hedgeAttempt{err: aerr, idx: 1}
 					return
 				}
-				run(hedgeCtx, 1, cold)
+				run(hedgeCtx, 1)
 			}()
 		}
 	}

@@ -37,8 +37,8 @@ type warmPool struct {
 	jitter      float64
 
 	mu      sync.Mutex
-	warm    []time.Time // idle instances, identified only by expiry
-	total   int         // warm + leased
+	warm    []idle // parked; a spare still booting goes to the front
+	total   int    // warm + leased
 	leased  int
 	retired bool
 }
@@ -61,76 +61,96 @@ func newWarmPool(a *App, plan *wrap.Plan, w *dag.Workflow, keepAlive time.Durati
 	return p
 }
 
-// acquire leases an instance, booting cold when no warm one is idle.
-// The cold boot honours ctx; the returned cold flag tells the caller to
-// charge ColdStart to the request.
-func (p *warmPool) acquire(ctx context.Context) (cold bool, err error) {
-	n, err := p.acquireN(ctx, 1)
-	return n > 0, err
+// acquire leases an instance for a request: the most recently parked
+// idle one, or a cold boot when none is idle. It waits, honouring ctx,
+// until the instance has booted, and returns the nominal boot time the
+// lease waited for: ColdStart for a cold boot, the rest of a parked
+// instance's boot (see acquireSpare), zero for a warm hit. The caller
+// charges it to the request.
+//
+// On ctx cancellation mid-boot the lease is handed back: a parked
+// instance is re-parked, and a cold boot is unwound from leased/total
+// and the resident gauge and recorded in chiron_serve_cold_cancelled_total
+// — the coldstarts counter stays monotonic (Prometheus counters must),
+// so capacity accounting reconciles as coldstarts - cold_cancelled.
+func (p *warmPool) acquire(ctx context.Context) (boot time.Duration, err error) {
+	return p.lease(ctx, false)
 }
 
-// acquireN leases n instances at once — the hedging path needs two —
-// taking warm instances first and booting the remainder cold under one
-// shared boot sleep (the boots proceed concurrently, like n containers
-// starting side by side). It returns how many of the leases were cold.
-//
-// On ctx cancellation mid-boot every lease is handed back: warm takes
-// are re-parked, cold boots are unwound from leased/total and the
-// resident gauge, and the cold boots that never served are recorded in
-// chiron_serve_cold_cancelled_total — the coldstarts counter stays
-// monotonic (Prometheus counters must), so capacity accounting
-// reconciles as coldstarts - cold_cancelled.
-func (p *warmPool) acquireN(ctx context.Context, n int) (cold int, err error) {
+// acquireSpare leases an instance for a hedge. It differs from acquire
+// only on cancellation: a cold boot is not undone but keeps booting as
+// a parked instance, which the next lease waits out. A hedge is
+// cancelled whenever its primary wins, so unwinding its boot would
+// leave no spare behind, and every hedge would boot cold again.
+func (p *warmPool) acquireSpare(ctx context.Context) (boot time.Duration, err error) {
+	return p.lease(ctx, true)
+}
+
+func (p *warmPool) lease(ctx context.Context, keepBoot bool) (boot time.Duration, err error) {
+	now := time.Now()
+	var ready time.Time
+	cold := false
 	p.mu.Lock()
-	warmTake := len(p.warm)
-	if warmTake > n {
-		warmTake = n
-	}
-	p.warm = p.warm[:len(p.warm)-warmTake]
-	cold = n - warmTake
-	p.leased += n
-	p.total += cold
-	p.mu.Unlock()
-	if warmTake > 0 {
-		p.app.m.warmHits.Add(uint64(warmTake))
-		p.app.m.warmGauge.Add(int64(-warmTake))
-	}
-	if cold == 0 {
-		return 0, nil
-	}
-	p.app.m.cold.Add(uint64(cold))
-	p.app.m.resident.Add(int64(cold) * int64(p.perInstMB))
-	if p.coldWall > 0 {
-		t := time.NewTimer(p.coldWall)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			now := time.Now()
-			p.mu.Lock()
-			p.leased -= n
-			p.total -= cold
-			parked := 0
-			if p.retired {
-				p.total -= warmTake
-			} else {
-				for i := 0; i < warmTake; i++ {
-					p.warm = append(p.warm, p.expiry(now))
-				}
-				parked = warmTake
-			}
-			p.mu.Unlock()
-			p.app.m.resident.Add(int64(-cold) * int64(p.perInstMB))
-			if parked > 0 {
-				p.app.m.warmGauge.Add(int64(parked))
-			} else if warmTake > 0 {
-				p.app.m.resident.Add(int64(-warmTake) * int64(p.perInstMB))
-			}
-			p.app.m.coldCancelled.Add(uint64(cold))
-			return 0, context.Cause(ctx)
+	p.leased++
+	if n := len(p.warm); n > 0 {
+		ready = p.warm[n-1].ready
+		p.warm = p.warm[:n-1]
+		p.mu.Unlock()
+		p.app.m.warmHits.Inc()
+		p.app.m.warmGauge.Add(-1)
+		if !ready.After(now) {
+			return 0, nil
+		}
+		boot = p.nominal(ready.Sub(now))
+	} else {
+		p.total++
+		p.mu.Unlock()
+		cold = true
+		ready = now.Add(p.coldWall)
+		boot = p.coldNominal
+		p.app.m.cold.Inc()
+		p.app.m.resident.Add(int64(p.perInstMB))
+		if p.coldWall <= 0 {
+			return boot, nil
 		}
 	}
-	return cold, nil
+	t := time.NewTimer(ready.Sub(now))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return boot, nil
+	case <-ctx.Done():
+	}
+	p.mu.Lock()
+	p.leased--
+	if cold && !keepBoot || p.retired {
+		p.total--
+		p.mu.Unlock()
+		p.app.m.resident.Add(-int64(p.perInstMB))
+		if cold {
+			p.app.m.coldCancelled.Inc()
+		}
+		return 0, context.Cause(ctx)
+	}
+	// The boot runs on. Park the instance below the booted ones, so a
+	// lease takes it only when no booted instance is idle.
+	p.warm = append(p.warm, idle{})
+	copy(p.warm[1:], p.warm)
+	p.warm[0] = idle{ready: ready, expiry: p.expiry(ready)}
+	p.mu.Unlock()
+	p.app.m.warmGauge.Add(1)
+	return 0, context.Cause(ctx)
+}
+
+// nominal converts a wall-clock part of a cold boot back to nominal time.
+func (p *warmPool) nominal(wall time.Duration) time.Duration {
+	return time.Duration(float64(wall) * float64(p.coldNominal) / float64(p.coldWall))
+}
+
+// idle is a parked instance: booted at ready (in the future while a
+// spare's boot runs on) and evicted at expiry.
+type idle struct {
+	ready, expiry time.Time
 }
 
 // expiry computes a parked instance's eviction time: keep-alive with
@@ -154,7 +174,7 @@ func (p *warmPool) release(now time.Time) {
 		p.app.m.resident.Add(-int64(p.perInstMB))
 		return
 	}
-	p.warm = append(p.warm, p.expiry(now))
+	p.warm = append(p.warm, idle{expiry: p.expiry(now)})
 	p.mu.Unlock()
 	p.app.m.warmGauge.Add(1)
 }
@@ -164,11 +184,11 @@ func (p *warmPool) reap(now time.Time) {
 	p.mu.Lock()
 	kept := p.warm[:0]
 	evicted := 0
-	for _, exp := range p.warm {
-		if now.After(exp) {
+	for _, in := range p.warm {
+		if now.After(in.expiry) {
 			evicted++
 		} else {
-			kept = append(kept, exp)
+			kept = append(kept, in)
 		}
 	}
 	p.warm = kept
