@@ -18,8 +18,8 @@ import (
 
 const (
 	paceSegments = 50
-	paceSeg      = 2 * time.Millisecond // nominal; 0.5 ms wall at paceScale
-	paceScale    = 0.25
+	paceSeg      = 2 * time.Millisecond // nominal; 0.1 ms wall at paceScale
+	paceScale    = 0.05
 	// paceSlack is the wall time a paced run may spend past its schedule:
 	// the last sleep's overshoot, bookkeeping and a few preemptions.
 	paceSlack = 5 * time.Millisecond
@@ -64,8 +64,9 @@ func TestPacingNoSlopBuildUp(t *testing.T) {
 	// 50 overshoots to the run, and anywhere a timer wakes over 0.1 ms
 	// late that exceeds paceSlack. A sub-millisecond Go timer wakes
 	// about 1 ms late on Linux: on a 2-vCPU VM that executor measured
-	// 216-220 ms nominal, i.e. 29 ms wall past a 25 ms schedule, and
-	// the paced one 100.2-101.9 ms. Best of three keeps a single
+	// 0.96-1.08 s nominal (43-49 ms wall past a 5 ms schedule), one that
+	// re-based the chain on the wall clock at every GIL acquire 0.49-0.57
+	// s, and the paced one 100.8-106 ms. Best of three keeps a single
 	// preempted run from failing the test.
 	best := time.Duration(1<<63 - 1)
 	var modelled time.Duration

@@ -107,7 +107,7 @@ func (a *App) runHedged(ctx context.Context, ps *planState, beh *dag.Workflow, r
 			go func() {
 				defer a.hedgeInflight.Add(-1)
 				// The hedge leases its own instance. A boot that the
-				// primary's win cancels parks as a spare for later hedges.
+				// primary's win cancels parks as a spare for a later lease.
 				if _, aerr := ps.pool.acquireSpare(hedgeCtx); aerr != nil {
 					done <- hedgeAttempt{err: aerr, idx: 1}
 					return
